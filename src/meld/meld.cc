@@ -407,6 +407,10 @@ class Melder {
           return Abort(AbortCause::kAbortWriteWrite, t.key,
                        "delete write-write");
         }
+        // The output loses key t.key, so it cannot hold cur either.
+        if (ctx_.deleted_ephemerals != nullptr && cur->vn().IsEphemeral()) {
+          ctx_.deleted_ephemerals->push_back(cur->vn());
+        }
       } else {
         if (ctx_.mode == MeldMode::kState && !t.base_cv.IsNull()) {
           return Abort(AbortCause::kAbortWriteWrite, t.key, "delete-delete");

@@ -2,6 +2,7 @@
 #define HYDER2_MELD_MELD_H_
 
 #include <string>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/result.h"
@@ -71,6 +72,10 @@ struct MeldContext {
   /// mixed cluster — like every meld parameter it changes ephemeral-id
   /// sequences (§3.4).
   bool disable_graft_fastpath = false;
+  /// Final meld with a liveness feed only (null elsewhere): receives the
+  /// ephemeral id of each base node a tombstone deletes. Meaningful only
+  /// when the meld commits; the caller discards it on a conflict.
+  std::vector<VersionId>* deleted_ephemerals = nullptr;
   /// Where the melder deposits typed provenance when it detects a conflict.
   /// `Meld()` installs its own sink and copies it into MeldResult::abort,
   /// so external callers can leave this null.

@@ -3,6 +3,7 @@
 #include "common/lock_counter.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
+#include "txn/flat_view.h"
 
 namespace hyder {
 
@@ -31,6 +32,152 @@ class MeldThreadLockDelta {
 constexpr uint32_t kFinalMeldThreadId = 0;
 constexpr uint32_t kGroupMeldThreadId = 1;
 constexpr uint32_t kPremeldThreadIdBase = 2;
+
+/// Collects one committed final meld's PublishDelta (see pipeline.h).
+class PublishDeltaCollector {
+ public:
+  PublishDeltaCollector(const Intention& intent, uint64_t out_tag,
+                        const Ref& base_root, NodeResolver* resolver,
+                        PublishDelta* delta)
+      : intent_(intent),
+        out_tag_(out_tag),
+        base_root_(base_root),
+        resolver_(resolver),
+        delta_(delta) {}
+
+  /// New nodes are the ones this meld made or the intention brought (owner
+  /// tags); everything else under them was already published and is not
+  /// entered. New ephemerals are linked by strong reference (meld never
+  /// leaves an edge to a node it created lazy), but a new logged node can
+  /// sit behind a lazy edge: a v3 member's intra-intention edges stay lazy
+  /// until something walks them, and group meld passes the earlier
+  /// member's edges through as they are. Such an edge is recognised by its
+  /// id: a logged id of one of the intention's members.
+  void Walk(const Ref& root) {
+    Visit(root.node.get(), root.vn);
+    while (!stack_.empty()) {
+      const Node* n = stack_.back();
+      stack_.pop_back();
+      if (n->owner() != out_tag_ && !intent_.Inside(*n)) continue;
+      if (n->vn().IsLogged()) {
+        Graft(n->vn(), n);
+        continue;
+      }
+      delta_->born.push_back(n->vn());
+      ForEachSsv(*n, [this](VersionId s) { Replaced(s); });
+      if (!n->is_wide() && n->ssv().IsNull() && !n->base_cv().IsNull()) {
+        // A split copy: derived from a snapshot node but stripped of its
+        // ssv (its subtree is partial). Group meld can pass one through
+        // into a grafted subtree; the base node holding its key is gone.
+        ReplacedAtKey(n->key());
+      }
+      for (int c = 0; c < n->child_count(); ++c) {
+        const ChildSlot& slot = n->child_at(c);
+        Visit(slot.Peek(), slot.vn());
+      }
+    }
+  }
+
+ private:
+  bool IsMember(VersionId vn) const {
+    if (!vn.IsLogged()) return false;
+    for (uint64_t tag : intent_.inside) {
+      if (tag == vn.intention_seq()) return true;
+    }
+    return false;
+  }
+
+  const FlatIntentionView* ViewOf(VersionId vn) const {
+    for (const auto& [member, view] : intent_.flats) {
+      if (member == vn.intention_seq()) return view.get();
+    }
+    return nullptr;
+  }
+
+  void Visit(const Node* node, VersionId vn) {
+    if (node != nullptr) {
+      stack_.push_back(node);
+    } else if (IsMember(vn)) {
+      Graft(vn, nullptr);
+    }
+  }
+
+  /// `s` is named as replaced by a node new in the state. A member's own
+  /// logged node was never in a state: the new node is a meld-internal
+  /// copy of it (group meld applies the later member's deletes to the
+  /// earlier member's nodes), and what the state lost is whatever that
+  /// member node was derived from.
+  void Replaced(VersionId s) {
+    if (s.IsEphemeral()) {
+      delta_->replaced.push_back(s);
+    } else if (IsMember(s)) {
+      if (const FlatIntentionView* view = ViewOf(s)) {
+        view->AppendRecordEphemeralSsvs(s.node_index(), &delta_->replaced);
+      } else if (NodePtr m = resolver_ != nullptr
+                                 ? resolver_->TryResolveCached(s)
+                                 : nullptr) {
+        ReplacedBy(*m);
+      }
+    }
+  }
+
+  /// The ephemerals logged node `n` replaced (its ssvs).
+  void ReplacedBy(const Node& n) {
+    ForEachSsv(n, [this](VersionId s) {
+      if (s.IsEphemeral()) delta_->replaced.push_back(s);
+    });
+  }
+
+  /// Names the base state's node for `key`, found by a cache-only
+  /// descent (a miss just leaves that node to a later replacement).
+  void ReplacedAtKey(Key key) {
+    NodePtr cur = Cached(base_root_.node, base_root_.vn);
+    while (cur != nullptr && !cur->is_wide()) {
+      if (cur->key() == key) {
+        if (cur->vn().IsEphemeral()) delta_->replaced.push_back(cur->vn());
+        return;
+      }
+      const Ref edge = cur->child(key > cur->key()).GetLocal();
+      cur = Cached(edge.node, edge.vn);
+    }
+  }
+
+  NodePtr Cached(const NodePtr& node, VersionId vn) const {
+    if (node != nullptr || vn.IsNull() || resolver_ == nullptr) return node;
+    return resolver_->TryResolveCached(vn);
+  }
+
+  /// Grafted member node `vn`: every record of its intra-intention subtree
+  /// is in the new state, so each node those records replaced is not. `g`
+  /// is the node when materialized (null behind a lazy edge).
+  void Graft(VersionId vn, const Node* g) {
+    if (const FlatIntentionView* view = ViewOf(vn)) {
+      view->AppendSubtreeEphemeralSsvs(vn.node_index(), &delta_->replaced);
+      return;
+    }
+    // Eager (v2) decode: every intra-intention edge is materialized.
+    if (g == nullptr) return;
+    std::vector<const Node*> stack{g};
+    while (!stack.empty()) {
+      const Node* n = stack.back();
+      stack.pop_back();
+      ReplacedBy(*n);
+      for (int c = 0; c < n->child_count(); ++c) {
+        const Node* child = n->child_at(c).Peek();
+        if (child != nullptr && child->owner() == g->owner()) {
+          stack.push_back(child);
+        }
+      }
+    }
+  }
+
+  const Intention& intent_;
+  const uint64_t out_tag_;
+  const Ref& base_root_;
+  NodeResolver* const resolver_;
+  PublishDelta* const delta_;
+  std::vector<const Node*> stack_;
+};
 }  // namespace
 
 AbortInfo MakeAdmissionRejectAbort() {
@@ -282,8 +429,17 @@ Result<std::vector<MeldDecision>> SequentialPipeline::FinalMeld(
     echo.disable_graft_fastpath = config_.disable_graft_fastpath ? 1 : 0;
     stats_.config_echo.Observe(echo);
   }
+  PublishDelta delta;
+  if (publish_observer_) ctx.deleted_ephemerals = &delta.replaced;
   CpuStopwatch cpu;
   HYDER_ASSIGN_OR_RETURN(MeldResult melded, Meld(ctx, *intent, latest.root));
+  if (publish_observer_ && !melded.conflict) {
+    delta.first_seq = published_seq_ + 1;
+    PublishDeltaCollector(*intent, ctx.out_tag, latest.root, resolver_,
+                          &delta)
+        .Walk(melded.root);
+    publish_observer_(delta);
+  }
   work.cpu_nanos = cpu.ElapsedNanos();
   stats_.final_meld += work;
   stats_.final_melds++;

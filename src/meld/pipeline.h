@@ -90,6 +90,26 @@ struct MeldDecision {
   std::string reason() const { return abort.ToString(); }
 };
 
+/// What one committed final meld changed in the published tree, in
+/// ephemeral ids: the liveness feed of the server's ephemeral table
+/// (server/resolver.h). A lazy edge holds no reference, so whether a
+/// retained state can still reach an ephemeral is tracked from these
+/// deltas rather than from reference counts.
+struct PublishDelta {
+  /// The first state holding the new root (a group pair publishes it for
+  /// both of its sequences).
+  uint64_t first_seq = 0;
+  /// Ephemerals the new state holds and no earlier state did: the nodes
+  /// this final meld created plus the premeld / group-meld nodes it
+  /// grafted.
+  std::vector<VersionId> born;
+  /// Ephemerals earlier states held that state `first_seq` does not: those
+  /// named by the `ssv` of every node new in the state (a node's `ssv` is
+  /// the same-key node it replaced), including the records of grafted
+  /// intention subtrees, plus the base nodes the tombstones deleted.
+  std::vector<VersionId> replaced;
+};
+
 /// Decision-shaped provenance for admission-control rejections: `Submit`
 /// returning Busy never reaches the pipeline, so the open-loop driver
 /// stamps rejected arrivals with this to keep the per-cause accounting
@@ -154,6 +174,13 @@ class SequentialPipeline {
   /// minting exactly the ids a full log replay would produce.
   std::vector<uint64_t> EphemeralCounters() const;
 
+  /// Installs the liveness feed: called on the final-meld thread with the
+  /// delta of every committed final meld, before its state is published.
+  /// Unset (the default), final meld skips the delta walk entirely.
+  void set_publish_observer(std::function<void(const PublishDelta&)> fn) {
+    publish_observer_ = std::move(fn);
+  }
+
   /// Restores counters captured by EphemeralCounters() on a quiescent
   /// pipeline of the same configuration. Extra or missing trailing entries
   /// are tolerated (configuration may differ across incarnations); entries
@@ -176,6 +203,7 @@ class SequentialPipeline {
   EphemeralAllocator fm_alloc_;
   EphemeralAllocator gm_alloc_;
   std::vector<std::unique_ptr<EphemeralAllocator>> pm_allocs_;
+  std::function<void(const PublishDelta&)> publish_observer_;
   IntentionPtr pending_group_;  ///< Odd member awaiting its pair.
   std::vector<uint64_t> block_prefix_;  ///< block_prefix_[seq] = cumulative.
   uint64_t published_seq_ = 0;

@@ -594,6 +594,11 @@ class WideMelder {
           return AbortSlot(AbortCause::kAbortWriteWrite, t.key, found_idx,
                            "delete write-write");
         }
+        // The output loses key t.key, so it cannot hold the page cur
+        // either.
+        if (ctx_.deleted_ephemerals != nullptr && cur->vn().IsEphemeral()) {
+          ctx_.deleted_ephemerals->push_back(cur->vn());
+        }
       } else {
         if (ctx_.mode == MeldMode::kState && !t.base_cv.IsNull()) {
           return AbortSlot(AbortCause::kAbortWriteWrite, t.key, -1,

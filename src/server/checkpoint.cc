@@ -137,7 +137,7 @@ Result<Ref> DeserializeState(const char*& p, const char* limit,
         }
         e.child(static_cast<int>(ci)).Reset(Ref::To(nodes[child]));
       }
-      if (n->vn().IsEphemeral()) resolver->RegisterEphemeral(n);
+      if (n->vn().IsEphemeral()) resolver->RegisterPublishedEphemeral(n);
       if (!n->vn().IsNull()) (*pinned)[n->vn()] = n;
       nodes.push_back(std::move(n));
       continue;
@@ -167,7 +167,7 @@ Result<Ref> DeserializeState(const char*& p, const char* limit,
     }
     // Ephemeral identities must stay resolvable for intentions that
     // reference them (§3.4); register into the bootstrapping resolver.
-    if (n->vn().IsEphemeral()) resolver->RegisterEphemeral(n);
+    if (n->vn().IsEphemeral()) resolver->RegisterPublishedEphemeral(n);
     // The checkpoint state doubles as the resolution floor: when the log
     // prefix below it is truncated, lazy references into that prefix
     // resolve from this map (ReplacePinnedBase) instead of refetching.

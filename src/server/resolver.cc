@@ -1,6 +1,7 @@
 #include "server/resolver.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/lock_counter.h"
 #include "txn/codec.h"
@@ -42,16 +43,76 @@ ServerResolver::ServerResolver(SharedLog* log, ResolverOptions options)
         capacity / shard_count + (s < capacity % shard_count ? 1 : 0);
     shards_.push_back(std::move(shard));
   }
-  const size_t stripe_count = std::max<size_t>(1, options_.ephemeral_stripes);
-  eph_stripes_.reserve(stripe_count);
-  for (size_t s = 0; s < stripe_count; ++s) {
-    eph_stripes_.push_back(std::make_unique<EphemeralStripe>());
+}
+
+ServerResolver::~ServerResolver() {
+  for (auto& block_slot : table_blocks_) {
+    // relaxed: destruction runs with exclusive access; every install
+    // happened-before the last use of the resolver.
+    TableBlock* block = block_slot.load(std::memory_order_relaxed);
+    if (block == nullptr) continue;
+    // relaxed: exclusive access, as above.
+    for (auto& table : block->tables) {
+      delete table.load(std::memory_order_relaxed);
+    }
+    delete block;
   }
 }
 
-ServerResolver::EphemeralStripe& ServerResolver::StripeFor(
-    VersionId vn) const {
-  return *eph_stripes_[std::hash<VersionId>{}(vn) % eph_stripes_.size()];
+ServerResolver::EphemeralTable* ServerResolver::TableFor(uint32_t thread_id,
+                                                         bool create) const {
+  std::atomic<TableBlock*>& block_slot =
+      table_blocks_[thread_id >> kTableBlockBits];
+  TableBlock* block = block_slot.load(std::memory_order_acquire);
+  if (block == nullptr) {
+    if (!create) return nullptr;
+    auto fresh = std::make_unique<TableBlock>();
+    if (block_slot.compare_exchange_strong(block, fresh.get(),
+                                           std::memory_order_acq_rel)) {
+      block = fresh.release();
+    }  // Else another registrar won; `block` now holds its block.
+  }
+  std::atomic<EphemeralTable*>& table_slot =
+      block->tables[thread_id & ((1u << kTableBlockBits) - 1)];
+  EphemeralTable* table = table_slot.load(std::memory_order_acquire);
+  if (table == nullptr && create) {
+    auto fresh = std::make_unique<EphemeralTable>();
+    if (table_slot.compare_exchange_strong(table, fresh.get(),
+                                           std::memory_order_acq_rel)) {
+      table = fresh.release();
+    }
+  }
+  return table;
+}
+
+ServerResolver::EphemeralChunk* ServerResolver::ChunkLocked(
+    EphemeralTable& table, uint64_t seq, bool create) {
+  const uint64_t chunk = seq >> kChunkBits;
+  if (table.chunks.empty()) {
+    if (!create) return nullptr;
+    table.first_chunk = chunk;
+  }
+  if (chunk < table.first_chunk) {
+    // Only sparse (bootstrap) registration reaches below the front.
+    if (!create) return nullptr;
+    for (; table.first_chunk > chunk; --table.first_chunk) {
+      table.chunks.push_front(nullptr);
+    }
+  }
+  const uint64_t at = chunk - table.first_chunk;
+  if (at >= table.chunks.size()) {
+    if (!create) return nullptr;
+    table.chunks.resize(at + 1);
+  }
+  std::unique_ptr<EphemeralChunk>& c = table.chunks[at];
+  if (c == nullptr && create) c = std::make_unique<EphemeralChunk>();
+  return c.get();
+}
+
+ServerResolver::EphemeralSlot* ServerResolver::SlotLocked(
+    EphemeralTable& table, uint64_t seq) {
+  EphemeralChunk* chunk = ChunkLocked(table, seq, /*create=*/false);
+  return chunk == nullptr ? nullptr : &chunk->slots[seq & (kChunkSlots - 1)];
 }
 
 Result<NodePtr> ServerResolver::Resolve(VersionId vn) {
@@ -59,26 +120,19 @@ Result<NodePtr> ServerResolver::Resolve(VersionId vn) {
     return Status::InvalidArgument("cannot resolve a null version id");
   }
   if (vn.IsEphemeral()) {
-    EphemeralStripe& stripe = StripeFor(vn);
-    CountedLock lock(stripe.mu);
-    auto it = stripe.nodes.find(vn);
-    if (it == stripe.nodes.end()) {
+    NodePtr n = LookupEphemeral(vn);
+    if (n == nullptr) {
       return Status::SnapshotTooOld("ephemeral node " + vn.ToString() +
                                     " has been retired");
     }
-    return it->second;
+    return n;
   }
   return ResolveLogged(vn);
 }
 
 NodePtr ServerResolver::TryResolveCached(VersionId vn) {
   if (vn.IsNull()) return nullptr;
-  if (vn.IsEphemeral()) {
-    EphemeralStripe& stripe = StripeFor(vn);
-    CountedLock lock(stripe.mu);
-    auto it = stripe.nodes.find(vn);
-    return it == stripe.nodes.end() ? nullptr : it->second;
-  }
+  if (vn.IsEphemeral()) return LookupEphemeral(vn);
   Shard& shard = ShardFor(vn.intention_seq());
   {
     CountedLock lock(shard.mu);
@@ -104,6 +158,14 @@ NodePtr ServerResolver::CachedNode(const CachedIntention& entry,
   }
   if (index >= entry.nodes.size()) return nullptr;
   return entry.nodes[index];
+}
+
+NodePtr ServerResolver::LookupEphemeral(VersionId vn) const {
+  EphemeralTable* table = TableFor(vn.thread_id(), /*create=*/false);
+  if (table == nullptr) return nullptr;
+  CountedLock lock(table->mu);
+  const EphemeralSlot* slot = SlotLocked(*table, vn.sequence());
+  return slot == nullptr ? nullptr : slot->node;
 }
 
 NodePtr ServerResolver::LookupPinned(VersionId vn) const {
@@ -275,29 +337,148 @@ size_t ServerResolver::pinned_node_count() const {
 }
 
 void ServerResolver::RegisterEphemeral(const NodePtr& n) {
-  EphemeralStripe& stripe = StripeFor(n->vn());
-  CountedLock lock(stripe.mu);
-  stripe.nodes[n->vn()] = n;
+  Register(n, kUnpublished);
+}
+
+void ServerResolver::RegisterPublishedEphemeral(const NodePtr& n) {
+  Register(n, kInState);
+}
+
+void ServerResolver::Register(const NodePtr& n, uint64_t replaced_at) {
+  const VersionId vn = n->vn();
+  EphemeralTable* table = TableFor(vn.thread_id(), /*create=*/true);
+  NodePtr displaced;  // Released after the lock.
+  {
+    CountedLock lock(table->mu);
+    EphemeralChunk* chunk = ChunkLocked(*table, vn.sequence(), true);
+    EphemeralSlot& slot = chunk->slots[vn.sequence() & (kChunkSlots - 1)];
+    displaced = std::exchange(slot.node, n);
+    slot.replaced_at = replaced_at;
+    if (displaced == nullptr) {
+      table->live++;
+      chunk->used++;
+    }
+    table->next_seq = std::max(table->next_seq, vn.sequence() + 1);
+  }
+}
+
+void ServerResolver::NotePublished(const PublishDelta& delta) {
+  // (raw vn, value) marks, sorted so each table's lock is taken once per
+  // run of its ids.
+  std::vector<std::pair<uint64_t, uint64_t>> marks;
+  marks.reserve(delta.born.size() + delta.replaced.size());
+  for (VersionId vn : delta.born) marks.emplace_back(vn.raw(), kInState);
+  for (VersionId vn : delta.replaced) {
+    marks.emplace_back(vn.raw(), delta.first_seq);
+  }
+  // A replaced id that never reached a state is a meld-internal copy (group
+  // meld rebasing the later member's deletes onto the earlier member's
+  // premeld nodes); the state lost what that copy was derived from, so the
+  // mark passes on to its ssvs. Same key all along the chain, so the new
+  // state holds none of them. The chains are short; the bound is a guard.
+  std::vector<std::pair<uint64_t, uint64_t>> follow;
+  for (int round = 0; round < 4 && !marks.empty(); ++round) {
+    std::sort(marks.begin(), marks.end());
+    size_t i = 0;
+    while (i < marks.size()) {
+      const uint32_t thread = VersionId::FromRaw(marks[i].first).thread_id();
+      size_t end = i;
+      while (end < marks.size() &&
+             VersionId::FromRaw(marks[end].first).thread_id() == thread) {
+        ++end;
+      }
+      EphemeralTable* table = TableFor(thread, /*create=*/false);
+      if (table == nullptr) {
+        i = end;
+        continue;
+      }
+      CountedLock lock(table->mu);
+      for (; i < end; ++i) {
+        const uint64_t seq = VersionId::FromRaw(marks[i].first).sequence();
+        EphemeralSlot* slot = SlotLocked(*table, seq);
+        if (slot == nullptr || slot->node == nullptr) continue;
+        const uint64_t value = marks[i].second;
+        if (value == kInState) {
+          if (slot->replaced_at == kUnpublished) slot->replaced_at = kInState;
+        } else if (slot->replaced_at == kUnpublished) {
+          ForEachSsv(*slot->node, [&](VersionId s) {
+            if (s.IsEphemeral()) follow.emplace_back(s.raw(), value);
+          });
+        } else if (slot->replaced_at == kInState ||
+                   value < slot->replaced_at) {
+          // The first replacement is the real one: membership in the
+          // published states is one contiguous run (no version returns).
+          slot->replaced_at = value;
+        }
+      }
+    }
+    marks.swap(follow);
+    follow.clear();
+  }
+}
+
+void ServerResolver::TrackRetention(const StateTable* states) {
+  retention_.store(states, std::memory_order_release);
+}
+
+size_t ServerResolver::SweepTable(EphemeralTable& table,
+                                  uint64_t oldest_retained) {
+  size_t dropped = 0;
+  CountedLock lock(table.mu);
+  // The chunk still receiving registrations is kept even when empty.
+  const uint64_t filling =
+      table.next_seq == 0 ? 0 : (table.next_seq - 1) >> kChunkBits;
+  // Newest first, releasing as we go: meld creates children before their
+  // parents, so dropping a garbage parent leaves its (older) children held
+  // by the table alone by the time the walk reaches them, and a whole
+  // garbage subtree goes in one sweep instead of one level per sweep.
+  for (size_t c = table.chunks.size(); c-- > 0;) {
+    std::unique_ptr<EphemeralChunk>& chunk = table.chunks[c];
+    if (chunk == nullptr) continue;
+    for (size_t i = kChunkSlots; i-- > 0;) {
+      EphemeralSlot& slot = chunk->slots[i];
+      if (slot.node == nullptr) continue;
+      const uint64_t r = slot.replaced_at;
+      // Unpublished: no state holds it and no lazy edge names it, so the
+      // table's own reference being the last one means it is garbage.
+      // Published: dropped once the first state without it is at or below
+      // the oldest retained state, i.e. every state that held it retired.
+      const bool drop = r == kUnpublished ? slot.node->RefCount() == 1
+                                          : r != kInState &&
+                                                r <= oldest_retained;
+      if (!drop) continue;
+      slot.node.Reset();
+      chunk->used--;
+      dropped++;
+    }
+    if (chunk->used == 0 && table.first_chunk + c != filling) chunk.reset();
+  }
+  while (!table.chunks.empty() && table.chunks.front() == nullptr) {
+    table.chunks.pop_front();
+    table.first_chunk++;
+  }
+  table.live -= dropped;
+  return dropped;
 }
 
 size_t ServerResolver::SweepEphemerals() {
+  const StateTable* states = retention_.load(std::memory_order_acquire);
+  // No window: the state after which nothing counts as retired is 0, so
+  // published entries stay (a replacement is always recorded at >= 1).
+  const uint64_t oldest = states == nullptr ? 0 : states->OldestRetained();
   size_t dropped = 0;
-  for (auto& stripe : eph_stripes_) {
-    CountedLock lock(stripe->mu);
-    for (auto it = stripe->nodes.begin(); it != stripe->nodes.end();) {
-      // RefCount == 1 means only the registry still holds the node: it is
-      // unreachable from every retained state, live intention and cache, so
-      // nothing can ever reference it again except a transaction whose
-      // snapshot has itself been retired (which is answered with
-      // SnapshotTooOld, the same as in the real system).
-      if (it->second->RefCount() == 1) {
-        it = stripe->nodes.erase(it);
-        dropped++;
-      } else {
-        ++it;
-      }
+  // Ascending thread ids: final meld (0), group meld (1), then premeld
+  // (2..): a garbage node's children live in its own table or a later one.
+  for (auto& block_slot : table_blocks_) {
+    TableBlock* block = block_slot.load(std::memory_order_acquire);
+    if (block == nullptr) continue;
+    for (auto& table_slot : block->tables) {
+      EphemeralTable* table = table_slot.load(std::memory_order_acquire);
+      if (table != nullptr) dropped += SweepTable(*table, oldest);
     }
   }
+  // Relaxed: a monotonic stats counter with no ordering dependency.
+  swept_.fetch_add(dropped, std::memory_order_relaxed);
   return dropped;
 }
 
@@ -342,9 +523,16 @@ size_t ServerResolver::cached_intentions() const {
 
 size_t ServerResolver::ephemeral_count() const {
   size_t total = 0;
-  for (const auto& stripe : eph_stripes_) {
-    CountedLock lock(stripe->mu);
-    total += stripe->nodes.size();
+  for (const auto& block_slot : table_blocks_) {
+    const TableBlock* block = block_slot.load(std::memory_order_acquire);
+    if (block == nullptr) continue;
+    for (const auto& table_slot : block->tables) {
+      const EphemeralTable* table =
+          table_slot.load(std::memory_order_acquire);
+      if (table == nullptr) continue;
+      CountedLock lock(table->mu);
+      total += table->live;
+    }
   }
   return total;
 }
@@ -354,6 +542,7 @@ void ServerResolver::EmitMetrics(const std::string& prefix,
   const std::string dot = prefix.empty() ? "" : prefix + ".";
   emit(dot + "cached_intentions", double(cached_intentions()));
   emit(dot + "ephemeral_count", double(ephemeral_count()));
+  emit(dot + "ephemerals_swept", double(ephemerals_swept()));
   emit(dot + "refetches", double(refetches()));
   emit(dot + "pinned_state_seq", double(pinned_state_seq()));
   emit(dot + "pinned_nodes", double(pinned_node_count()));

@@ -1,7 +1,9 @@
 #ifndef HYDER2_SERVER_RESOLVER_H_
 #define HYDER2_SERVER_RESOLVER_H_
 
+#include <array>
 #include <atomic>
+#include <deque>
 #include <list>
 #include <memory>
 #include <unordered_map>
@@ -11,6 +13,7 @@
 #include "common/retry.h"
 #include "common/thread_annotations.h"
 #include "log/shared_log.h"
+#include "meld/pipeline.h"
 #include "tree/node.h"
 #include "txn/intention.h"
 
@@ -31,28 +34,42 @@ struct ResolverOptions {
   /// Clamped to [1, intention_cache_capacity] so each shard can hold at
   /// least one intention.
   size_t shards = 8;
-  /// Lock stripes for the ephemeral registry, keyed by VersionId hash.
-  size_t ephemeral_stripes = 8;
-  /// Ephemeral registry entries are swept once the registry exceeds this
-  /// size; only entries no longer referenced anywhere else are dropped.
-  size_t ephemeral_soft_limit = 1 << 20;
   /// Retry policy for transient log errors on the refetch path.
   RetryPolicy log_retry;
 };
 
 /// Resolves node references for one server: logged references through a
 /// materialized-intention cache backed by the shared log, ephemeral
-/// references through the registry fed by the meld pipeline's allocators.
+/// references through the ephemeral table fed by the meld pipeline's
+/// allocators.
 ///
-/// Both structures are lock-striped (see ResolverOptions::shards /
-/// ephemeral_stripes): an intention sequence maps to one shard holding its
-/// cache entry, LRU position and directory entry, so `Resolve` takes exactly
-/// one shard lock, and calls for different sequences from the premeld
-/// workers, the final-meld thread and the executors proceed in parallel.
-/// Eviction is LRU per shard; with capacity split evenly across shards and
-/// sequences striped round-robin (`seq % shards`), the aggregate behaves
-/// like a global LRU for the sequential access patterns that matter, and
-/// the global capacity bound is exact.
+/// The intention cache is lock-striped (see ResolverOptions::shards): an
+/// intention sequence maps to one shard holding its cache entry, LRU
+/// position and directory entry, so `Resolve` takes exactly one shard lock,
+/// and calls for different sequences from the premeld workers, the
+/// final-meld thread and the executors proceed in parallel. Eviction is LRU
+/// per shard; with capacity split evenly across shards and sequences
+/// striped round-robin (`seq % shards`), the aggregate behaves like a
+/// global LRU for the sequential access patterns that matter, and the
+/// global capacity bound is exact.
+///
+/// The ephemeral table is dense: ephemeral ids are (meld thread, per-thread
+/// sequence) pairs (§3.4), so each allocator thread id gets its own table
+/// indexed by the sequence in fixed-size chunks under one lock per table.
+/// Registering is one slot store, a lookup is index arithmetic, and a sweep
+/// walks contiguous slots and frees whole dead chunks. Checkpoint bootstrap
+/// registers sparse ids the same way (untouched chunks stay unallocated).
+///
+/// Liveness (DESIGN.md "Meld hot path"): an ephemeral must stay resolvable
+/// while any retained state can reach it, and reachability is not a
+/// reference count — a lazy edge (`Ref::Lazy`) holds no reference, and
+/// v3-decoded intention nodes carry every external edge lazily. So each
+/// slot records whether the node reached a published state and, once a
+/// later meld drops it, the first state that no longer holds it
+/// (`NotePublished`, fed by the pipeline's PublishDelta). A published node
+/// is swept once that state is at or below the oldest retained state; a
+/// node that never reached a published state can have no lazy referrer and
+/// goes when the table holds its only reference.
 ///
 /// Ephemeral nodes cannot be refetched (they are never logged, §2); a
 /// reference to a swept ephemeral yields `SnapshotTooOld`, which surfaces to
@@ -65,6 +82,10 @@ struct ResolverOptions {
 class ServerResolver : public NodeResolver {
  public:
   ServerResolver(SharedLog* log, ResolverOptions options);
+  ~ServerResolver() override;
+
+  ServerResolver(const ServerResolver&) = delete;
+  ServerResolver& operator=(const ServerResolver&) = delete;
 
   Result<NodePtr> Resolve(VersionId vn) override;
 
@@ -86,8 +107,22 @@ class ServerResolver : public NodeResolver {
   void CacheIntention(uint64_t seq, std::vector<NodePtr> nodes,
                       std::shared_ptr<FlatIntentionView> flat = nullptr);
 
-  /// Registers an ephemeral node (meld allocator registrar hook).
+  /// Registers an ephemeral node (meld allocator registrar hook). The node
+  /// counts as unpublished until a PublishDelta names it.
   void RegisterEphemeral(const NodePtr& n);
+  /// Registers an ephemeral node of an already published state — the
+  /// checkpoint bootstrap path, whose reconstructed tree is the initial
+  /// state of the new server.
+  void RegisterPublishedEphemeral(const NodePtr& n);
+  /// Applies one published final meld's liveness delta: `born` ids are now
+  /// in a published state; `replaced` ids are absent from state
+  /// `first_seq` and every later one.
+  void NotePublished(const PublishDelta& delta);
+  /// The retention window the sweep honours: ephemerals replaced at or
+  /// below `states->OldestRetained()` are unreachable from every retained
+  /// state. Without a window (null, the default) published ephemerals are
+  /// never swept.
+  void TrackRetention(const StateTable* states);
 
   /// Installs the checkpoint-anchored resolution floor: the complete
   /// vn -> node map of checkpoint state S (`state_seq`), replacing any
@@ -103,8 +138,10 @@ class ServerResolver : public NodeResolver {
   uint64_t pinned_state_seq() const;
   size_t pinned_node_count() const;
 
-  /// Drops ephemeral entries that nothing else references. Safe at any
-  /// time; affects only this server's memory, never cross-server state.
+  /// Drops the ephemeral entries no retained state can reach (see the class
+  /// comment) and frees chunks left empty. Returns the number dropped. Safe
+  /// at any time; affects only this server's memory, never cross-server
+  /// state.
   size_t SweepEphemerals();
 
   struct DirectoryExport {
@@ -126,6 +163,11 @@ class ServerResolver : public NodeResolver {
   uint64_t refetches() const {
     // Relaxed: a monotonic stats counter read with no ordering dependency.
     return refetches_.load(std::memory_order_relaxed);
+  }
+  /// Ephemeral entries dropped by every sweep so far.
+  uint64_t ephemerals_swept() const {
+    // Relaxed: a monotonic stats counter read with no ordering dependency.
+    return swept_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -153,17 +195,62 @@ class ServerResolver : public NodeResolver {
     // hyder-check: allow(guard-completeness): set at construction, read-only
     size_t capacity = 0;
   };
-  /// One lock stripe of the ephemeral registry.
-  struct EphemeralStripe {
-    mutable Mutex mu;
-    std::unordered_map<VersionId, NodePtr> nodes GUARDED_BY(mu);
+  /// One ephemeral id's entry. `node` is null for an unused or swept slot;
+  /// `replaced_at` is the liveness record: kUnpublished, kInState, or the
+  /// first state without the node.
+  struct EphemeralSlot {
+    NodePtr node;
+    uint64_t replaced_at = 0;
   };
+  static constexpr uint64_t kUnpublished = 0;
+  static constexpr uint64_t kInState = ~uint64_t(0);
+  static constexpr int kChunkBits = 10;
+  static constexpr uint64_t kChunkSlots = uint64_t(1) << kChunkBits;
+  struct EphemeralChunk {
+    EphemeralSlot slots[kChunkSlots];
+    uint32_t used = 0;  ///< Slots with a node.
+  };
+  /// The ephemeral ids of one allocator thread: chunk `first_chunk + i` of
+  /// `chunks` holds sequences [(first_chunk + i) << kChunkBits, ...). Null
+  /// entries are chunks never touched or already freed.
+  struct EphemeralTable {
+    mutable Mutex mu;
+    uint64_t first_chunk GUARDED_BY(mu) = 0;
+    std::deque<std::unique_ptr<EphemeralChunk>> chunks GUARDED_BY(mu);
+    /// One past the highest registered sequence: the chunk holding it is
+    /// still filling, so a sweep that empties it keeps it.
+    uint64_t next_seq GUARDED_BY(mu) = 0;
+    size_t live GUARDED_BY(mu) = 0;
+  };
+  /// Tables by thread id, two levels so the 15-bit id space costs nothing
+  /// until used: block `id >> kTableBlockBits`, entry `id & mask`. Entries
+  /// are installed once (CAS) and live as long as the resolver.
+  static constexpr int kTableBlockBits = 8;
+  static constexpr size_t kTableBlocks =
+      (size_t(1) << VersionId::kThreadBits) >> kTableBlockBits;
+  struct TableBlock {
+    std::array<std::atomic<EphemeralTable*>, size_t(1) << kTableBlockBits>
+        tables{};
+  };
+
+  /// The table of `thread_id`; null when absent and `create` is false.
+  EphemeralTable* TableFor(uint32_t thread_id, bool create) const;
+  /// The chunk holding `seq`, created when `create`; null when absent and
+  /// `create` is false.
+  static EphemeralChunk* ChunkLocked(EphemeralTable& table, uint64_t seq,
+                                     bool create) REQUIRES(table.mu);
+  /// The slot of `seq`; null when its chunk is absent.
+  static EphemeralSlot* SlotLocked(EphemeralTable& table, uint64_t seq)
+      REQUIRES(table.mu);
+  void Register(const NodePtr& n, uint64_t replaced_at);
+  NodePtr LookupEphemeral(VersionId vn) const;
+  /// Sweeps one table against the oldest retained state; returns the
+  /// number of entries dropped.
+  size_t SweepTable(EphemeralTable& table, uint64_t oldest_retained);
 
   Shard& ShardFor(uint64_t seq) const {
     return *shards_[seq % shards_.size()];
   }
-  EphemeralStripe& StripeFor(VersionId vn) const;
-
   Result<NodePtr> ResolveLogged(VersionId vn);
   NodePtr LookupPinned(VersionId vn) const EXCLUDES(pinned_mu_);
   /// What a refetch decoded: either an eager node array (v2 payload) or a
@@ -188,17 +275,21 @@ class ServerResolver : public NodeResolver {
   SharedLog* const log_;
   const ResolverOptions options_;
 
-  /// Lock order: at most one shard or stripe lock is ever held at a time
-  /// (the intention shards and the ephemeral stripes are disjoint id
-  /// spaces, and no operation spans two sequences' shards while holding
-  /// both). `pinned_mu_` is likewise only ever taken alone: the pinned
-  /// fallback runs after the shard lock is released.
-  /// Both vectors are sized at construction and never resized; each
-  /// element synchronizes through its own embedded mutex.
+  /// Lock order: at most one shard or table lock is ever held at a time
+  /// (the intention shards and the ephemeral tables are disjoint id spaces,
+  /// and no operation spans two sequences' shards while holding both).
+  /// `pinned_mu_` is likewise only ever taken alone: the pinned fallback
+  /// runs after the shard lock is released.
+  /// Sized at construction and never resized; each element synchronizes
+  /// through its own embedded mutex.
   // hyder-check: allow(guard-completeness): fixed topology, per-element mu
   std::vector<std::unique_ptr<Shard>> shards_;
-  // hyder-check: allow(guard-completeness): fixed topology, per-element mu
-  std::vector<std::unique_ptr<EphemeralStripe>> eph_stripes_;
+  /// Installed once per block by CAS (lookups of absent ids install
+  /// nothing), freed in the destructor.
+  // hyder-check: allow(guard-completeness): array of atomics, CAS-installed
+  mutable std::array<std::atomic<TableBlock*>, kTableBlocks> table_blocks_{};
+  /// Set once before the pipeline runs (TrackRetention); read by sweeps.
+  std::atomic<const StateTable*> retention_{nullptr};
   mutable Mutex pinned_mu_;
   /// Checkpoint state S backing truncated-prefix resolution (see
   /// ReplacePinnedBase). 0 = nothing pinned.
@@ -207,6 +298,7 @@ class ServerResolver : public NodeResolver {
   /// Atomic (not guarded): incremented under a shard lock but read by the
   /// stats accessor without it.
   std::atomic<uint64_t> refetches_{0};
+  std::atomic<uint64_t> swept_{0};
 };
 
 }  // namespace hyder

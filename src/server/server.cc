@@ -23,7 +23,13 @@ HyderServer::HyderServer(SharedLog* log, ServerOptions options,
       append_to_durable_us_(MetricsRegistry::Global().histogram(
           "pipeline.append_to_durable_us")),
       durable_to_decision_us_(MetricsRegistry::Global().histogram(
-          "pipeline.durable_to_decision_us")) {
+          "pipeline.durable_to_decision_us")),
+      sweep_us_(MetricsRegistry::Global().histogram("server.sweep_us")) {
+  // Ephemeral liveness: the pipeline reports what each published state
+  // gained and dropped, and sweeps keep whatever a retained state holds.
+  pipeline_.set_publish_observer(
+      [this](const PublishDelta& delta) { resolver_.NotePublished(delta); });
+  resolver_.TrackRetention(&pipeline_.states());
   for (int s = 1; s < kAbortStageCount; ++s) {
     abort_decision_us_[s] = MetricsRegistry::Global().histogram(
         std::string("pipeline.abort_decision_us.") +
@@ -245,7 +251,9 @@ Result<std::vector<MeldDecision>> HyderServer::Poll(size_t max_intentions) {
     }
     if (++melds_since_sweep_ >= options_.sweep_interval) {
       melds_since_sweep_ = 0;
+      Stopwatch sweep_watch;
       resolver_.SweepEphemerals();
+      sweep_us_->Add(sweep_watch.ElapsedNanos() / 1000);
     }
   }
   return all;

@@ -32,7 +32,8 @@ struct ServerOptions {
   /// (§5.2 — "the executer stops processing transactions if the number of
   /// transactions awaiting their outcome exceeds a configurable threshold").
   size_t max_inflight = 1600;
-  /// Melds between ephemeral-registry sweeps.
+  /// Melds between ephemeral-table sweeps (each timed into the
+  /// `server.sweep_us` histogram).
   uint64_t sweep_interval = 1024;
   /// Bounded retry-with-backoff for transient (`Unavailable`) log errors in
   /// the append (Submit) and tail-read (Poll) paths. Retried appends may
@@ -224,6 +225,8 @@ class HyderServer {
   /// retries); durable->decision covers assembly-complete to meld decision.
   LatencyHistogram* const append_to_durable_us_;
   LatencyHistogram* const durable_to_decision_us_;
+  /// Wall time of each periodic ephemeral sweep inside Poll.
+  LatencyHistogram* const sweep_us_;
   /// Durable->decision latency of *aborted* transactions, split by the
   /// stage that made the abort decision (forensics: a premeld kill decides
   /// much earlier than a final-meld conflict). Index = AbortStage; slot 0

@@ -126,10 +126,13 @@ class NodePtr {
 ///  * null edge:      `!node && vn.IsNull()`
 ///  * materialized:   `node != nullptr` (vn may be null for provisional
 ///                    nodes the executor has built but not yet logged)
-///  * lazy:           `!node && vn.IsLogged()` — the paper's "node pointer
+///  * lazy:           `!node && !vn.IsNull()` — the paper's "node pointer
 ///                    left as a log position; if dereferenced later, fetched
-///                    from the log" (§5.2). Ephemeral targets are never left
-///                    lazy because ephemeral nodes cannot be refetched.
+///                    from the log" (§5.2). A lazy edge holds no reference.
+///                    Its target may be ephemeral (wire-v3 intention nodes
+///                    carry every external edge lazily): such targets
+///                    resolve through the server's ephemeral table, which
+///                    keeps them while a retained state can reach them.
 struct Ref {
   NodePtr node;
   VersionId vn;
@@ -190,6 +193,11 @@ class ChildSlot {
     if (n != nullptr) return Ref(NodePtr::Share(n), vn_);
     return Ref(nullptr, vn_);
   }
+
+  /// The materialized target without taking a reference: null while the
+  /// edge is lazy or null. Valid only while the caller keeps the owning
+  /// node alive (tree walks that must not touch reference counts).
+  const Node* Peek() const { return node_.load(std::memory_order_acquire); }
 
   /// Materialized target (null NodePtr if the edge is null). Fetches through
   /// `resolver` and memoizes on first use.
@@ -570,6 +578,15 @@ inline void NodeRef(Node* n) {
 
 inline Ref Ref::To(const NodePtr& n) {
   return Ref(n, n ? n->vn() : VersionId());
+}
+
+/// Calls `fn` with every id `n` names as replaced: its ssv and, for a wide
+/// page, each slot's ssv (the page the slot's key came from).
+template <typename Fn>
+void ForEachSsv(const Node& n, Fn fn) {
+  fn(n.ssv());
+  if (!n.is_wide()) return;
+  for (int j = 0; j < n.wide()->count(); ++j) fn(n.wide()->slot(j).meta.ssv);
 }
 
 /// Total count of live Node objects (for leak tests). An arena stat; see

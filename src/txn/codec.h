@@ -70,10 +70,11 @@ Result<std::vector<std::string>> SerializeIntention(
 
 /// Parses a reassembled intention payload. `seq` is the deterministic
 /// log-order sequence assigned by the assembler; node `i` receives
-/// `VersionId::Logged(seq, i)` and owner tag `seq`. External ephemeral
-/// references are resolved immediately through `ephemeral_resolver`
-/// (ephemeral nodes cannot be refetched from the log); external logged
-/// references are left lazy.
+/// `VersionId::Logged(seq, i)` and owner tag `seq`. External references
+/// are pre-materialized cache-only through `ephemeral_resolver` where the
+/// node is at hand (every node's edges for v2, the root's for v3); the
+/// rest stay lazy and resolve on first use, ephemeral ones through the
+/// server's ephemeral table (they cannot be refetched from the log).
 Result<IntentionPtr> DeserializeIntention(std::string_view payload,
                                           uint64_t seq, uint32_t block_count,
                                           NodeResolver* ephemeral_resolver,

@@ -1,5 +1,7 @@
 #include "txn/flat_view.h"
 
+#include <algorithm>
+
 #include "common/varint.h"
 #include "txn/wire_format.h"
 
@@ -123,11 +125,14 @@ Status FlatIntentionView::ParseBody() {
   // (bit i = record i altered, or any internal child's bit set — what the
   // v2 decoder propagates eagerly through materialized children).
   subtree_writes_.assign((size_t(node_count_) + 63) / 64, 0);
+  first_in_subtree_.resize(node_count_);
   for (uint32_t i = 0; i < node_count_; ++i) {
     const char* rp = nullptr;
     const char* rend = nullptr;
     RecordExtent(i, &rp, &rend);
     bool writes = false;
+    uint64_t ssv = 0;
+    uint32_t first = i;
     uint64_t quad[4];
     if (!wide_) {
       if (rp >= rend) return Status::Corruption("truncated node record");
@@ -140,6 +145,7 @@ Status FlatIntentionView::ParseBody() {
         return Status::Corruption("truncated node payload");
       }
       rp += payload_len;
+      ssv = quad[1];
       if (flags & kWireAltered) writes = true;
       for (int side = 0; side < 2; ++side) {
         const bool present =
@@ -156,6 +162,7 @@ Status FlatIntentionView::ParseBody() {
             return Status::Corruption("child index violates post-order");
           }
           if (SubtreeHasWrites(static_cast<uint32_t>(ev))) writes = true;
+          first = std::min(first, first_in_subtree_[ev]);
         } else if (VersionId::FromRaw(ev).IsNull()) {
           return Status::Corruption("null external child reference");
         }
@@ -168,6 +175,7 @@ Status FlatIntentionView::ParseBody() {
           (rp = GetVarint64(rp, rend, &slot_count)) == nullptr) {
         return Status::Corruption("truncated page fields");
       }
+      ssv = page_ssv;
       if (slot_count == 0 || slot_count > uint64_t(fanout_)) {
         return Status::Corruption("wide page slot count out of range");
       }
@@ -183,6 +191,10 @@ Status FlatIntentionView::ParseBody() {
         }
         rp += payload_len;
         if (sf & kWireSlotAltered) writes = true;
+        // A slot's ssv names the page its key came from.
+        if (VersionId::FromRaw(quad[1]).IsEphemeral()) {
+          ephemeral_ssvs_.emplace_back(i, VersionId::FromRaw(quad[1]));
+        }
       }
       for (uint64_t ci = 0; ci <= slot_count; ++ci) {
         if (rp >= rend) return Status::Corruption("truncated child tag");
@@ -197,6 +209,7 @@ Status FlatIntentionView::ParseBody() {
             return Status::Corruption("child index violates post-order");
           }
           if (SubtreeHasWrites(static_cast<uint32_t>(ev))) writes = true;
+          first = std::min(first, first_in_subtree_[ev]);
         } else if (VersionId::FromRaw(ev).IsNull()) {
           return Status::Corruption("null external child reference");
         }
@@ -206,7 +219,13 @@ Status FlatIntentionView::ParseBody() {
       return Status::DataLoss("flat record does not fill its offset extent");
     }
     if (writes) subtree_writes_[i >> 6] |= uint64_t(1) << (i & 63);
+    first_in_subtree_[i] = first;
+    if (VersionId::FromRaw(ssv).IsEphemeral()) {
+      ephemeral_ssvs_.emplace_back(i, VersionId::FromRaw(ssv));
+    }
   }
+  // Subtree ranges only serve ephemeral-ssv lookups.
+  if (ephemeral_ssvs_.empty()) std::vector<uint32_t>().swap(first_in_subtree_);
 
   if (node_count_ > 0) {
     slots_ = std::make_unique<std::atomic<Node*>[]>(node_count_);
@@ -335,6 +354,34 @@ NodePtr FlatIntentionView::NodeAt(uint32_t index) const {
   // Lost the publication race: discard our build, adopt the winner's.
   NodeUnref(raw);
   return NodePtr::Share(expected);
+}
+
+std::vector<std::pair<uint32_t, VersionId>>::const_iterator
+FlatIntentionView::EphemeralSsvsFrom(uint32_t index) const {
+  return std::lower_bound(
+      ephemeral_ssvs_.begin(), ephemeral_ssvs_.end(), index,
+      [](const std::pair<uint32_t, VersionId>& e, uint32_t i) {
+        return e.first < i;
+      });
+}
+
+void FlatIntentionView::AppendRecordEphemeralSsvs(
+    uint32_t index, std::vector<VersionId>* out) const {
+  for (auto it = EphemeralSsvsFrom(index);
+       it != ephemeral_ssvs_.end() && it->first == index; ++it) {
+    out->push_back(it->second);
+  }
+}
+
+void FlatIntentionView::AppendSubtreeEphemeralSsvs(
+    uint32_t index, std::vector<VersionId>* out) const {
+  if (index >= node_count_ || ephemeral_ssvs_.empty()) return;
+  // Post-order: record index's subtree is the contiguous index range
+  // [first_in_subtree_[index], index].
+  for (auto it = EphemeralSsvsFrom(first_in_subtree_[index]);
+       it != ephemeral_ssvs_.end() && it->first <= index; ++it) {
+    out->push_back(it->second);
+  }
 }
 
 NodePtr FlatIntentionView::Root() const {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -70,6 +71,16 @@ class FlatIntentionView {
   /// (delete-only) intention.
   NodePtr Root() const;
 
+  /// Appends the ephemeral `ssv`s of every record in record `index`'s
+  /// intra-intention subtree (a wide record's slot ssvs included): the
+  /// ephemerals a committed graft of that subtree replaces. Reads what
+  /// Parse recorded; materializes nothing.
+  void AppendSubtreeEphemeralSsvs(uint32_t index,
+                                  std::vector<VersionId>* out) const;
+  /// The same for record `index` alone.
+  void AppendRecordEphemeralSsvs(uint32_t index,
+                                 std::vector<VersionId>* out) const;
+
   /// Number of records materialized into pool nodes so far (monotonic).
   /// The premeld-churn counters compare this against node_count() for
   /// killed intentions to measure the allocations lazy decode avoided.
@@ -87,6 +98,9 @@ class FlatIntentionView {
   void RecordExtent(uint32_t index, const char** start, const char** end) const;
   NodePtr BuildBinary(uint32_t index) const;
   NodePtr BuildWide(uint32_t index) const;
+  /// First ephemeral_ssvs_ entry of record `index` or a later record.
+  std::vector<std::pair<uint32_t, VersionId>>::const_iterator
+  EphemeralSsvsFrom(uint32_t index) const;
   bool SubtreeHasWrites(uint32_t index) const {
     return (subtree_writes_[index >> 6] >> (index & 63)) & 1u;
   }
@@ -108,6 +122,12 @@ class FlatIntentionView {
   /// kFlagSubtreeHasWrites a v2 decode propagates eagerly, precomputed here
   /// because lazy materialization visits parents before children.
   std::vector<uint64_t> subtree_writes_;
+  /// Lowest record index in record i's subtree (post-order keeps every
+  /// subtree a contiguous index range ending at its root).
+  std::vector<uint32_t> first_in_subtree_;
+  /// (record index, ssv) for every ephemeral page or slot ssv, in index
+  /// order.
+  std::vector<std::pair<uint32_t, VersionId>> ephemeral_ssvs_;
   /// slots_[i] holds one strong reference to record i's node once
   /// materialized (released in the destructor).
   mutable std::unique_ptr<std::atomic<Node*>[]> slots_;

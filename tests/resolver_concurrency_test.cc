@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <utility>
@@ -9,6 +10,7 @@
 
 #include "common/random.h"
 #include "log/striped_log.h"
+#include "meld/state_table.h"
 #include "txn/codec.h"
 #include "txn/intention_builder.h"
 
@@ -99,7 +101,6 @@ TEST(ResolverConcurrencyTest, ParallelResolveCacheEvictRefetch) {
   ResolverOptions opts;
   opts.intention_cache_capacity = 4;  // Far below the 24-intention set.
   opts.shards = 3;
-  opts.ephemeral_stripes = 2;
   ServerResolver resolver(&data.log(), opts);
   data.RecordDirectory(&resolver);
 
@@ -169,6 +170,103 @@ TEST(ResolverConcurrencyTest, ParallelResolveCacheEvictRefetch) {
     EXPECT_EQ(dir[i].seq, i + 1);
     EXPECT_FALSE(dir[i].positions.empty());
   }
+}
+
+/// The ephemeral table's register / resolve / publish / sweep race. A
+/// "final meld" thread registers into table 0 and publishes each run of
+/// ids, replacing the previous run; a "premeld" thread registers into
+/// table 2 and keeps every other node, leaving the rest unpublished
+/// garbage; readers resolve ids from both ranges while a sweeper sweeps
+/// against the advancing retention window. A lookup must return the node
+/// registered under that id or SnapshotTooOld, never anything else, and
+/// afterwards exactly the reachable entries remain.
+TEST(ResolverConcurrencyTest, EphemeralTableRegisterResolveSweepRace) {
+  StripedLog log(StripedLogOptions{/*block_size=*/512});
+  ServerResolver resolver(&log, ResolverOptions{});
+  constexpr uint64_t kRun = 8;
+  constexpr uint64_t kRuns = 250;
+  constexpr uint64_t kRetained = 4;
+  StateTable states(kRetained, DatabaseState{0, Ref::Null()});
+  resolver.TrackRetention(&states);
+  const auto make = [](uint32_t thread, uint64_t seq) {
+    NodePtr n = MakeNode(Key(seq), "eph");
+    n->set_vn(VersionId::Ephemeral(thread, seq));
+    return n;
+  };
+
+  std::atomic<bool> done{false};
+  std::vector<NodePtr> kept;
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (uint64_t run = 0; run < kRuns; ++run) {
+      PublishDelta delta;
+      delta.first_seq = run + 1;
+      // Like a meld output, the run holds its nodes until they are
+      // published.
+      std::vector<NodePtr> out;
+      for (uint64_t j = 0; j < kRun; ++j) {
+        out.push_back(make(0, run * kRun + j));
+        resolver.RegisterEphemeral(out.back());
+        delta.born.push_back(out.back()->vn());
+        if (run > 0) {
+          delta.replaced.push_back(
+              VersionId::Ephemeral(0, (run - 1) * kRun + j));
+        }
+      }
+      resolver.NotePublished(delta);
+      states.Publish(DatabaseState{run + 1, Ref::To(out.front())});
+    }
+  });
+  threads.emplace_back([&] {
+    for (uint64_t i = 0; i < kRun * kRuns; ++i) {
+      NodePtr n = make(2, i);
+      resolver.RegisterEphemeral(n);
+      if (i % 2 == 0) kept.push_back(n);
+    }
+  });
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rng(31 + r);
+      for (int i = 0; i < 4000; ++i) {
+        const VersionId vn = VersionId::Ephemeral(
+            rng.Bernoulli(0.5) ? 0 : 2, rng.Uniform(kRun * kRuns));
+        auto n = resolver.Resolve(vn);
+        if (n.ok()) {
+          ASSERT_EQ((*n)->vn(), vn);
+        } else {
+          ASSERT_TRUE(n.status().IsSnapshotTooOld()) << n.status().ToString();
+        }
+      }
+    });
+  }
+  std::thread sweeper([&] {
+    while (!done.load(std::memory_order_acquire)) resolver.SweepEphemerals();
+  });
+  for (auto& t : threads) t.join();
+  done.store(true, std::memory_order_release);
+  sweeper.join();
+
+  resolver.SweepEphemerals();
+  // Table 0: run r is replaced in state r + 2, so only the runs replaced
+  // after the oldest retained state (kRuns + 1 - kRetained) remain — plus
+  // the last run, never replaced. Table 2: exactly the kept half.
+  const uint64_t oldest = states.OldestRetained();
+  ASSERT_EQ(oldest, kRuns + 1 - kRetained);
+  uint64_t published_left = 0;
+  for (uint64_t run = 0; run < kRuns; ++run) {
+    const bool live = run + 2 > oldest;
+    for (uint64_t j = 0; j < kRun; ++j) {
+      auto n = resolver.Resolve(VersionId::Ephemeral(0, run * kRun + j));
+      EXPECT_EQ(n.ok(), live) << "run " << run;
+    }
+    published_left += live ? kRun : 0;
+  }
+  for (const NodePtr& n : kept) {
+    auto r = resolver.Resolve(n->vn());
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->get(), n.get());
+  }
+  EXPECT_EQ(resolver.ephemeral_count(), published_left + kept.size());
 }
 
 /// An imported directory on a cold resolver serves every reference through

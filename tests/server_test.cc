@@ -259,6 +259,180 @@ TEST(ResolverTest, EphemeralSweepKeepsLiveNodes) {
   }
 }
 
+// Regression for the wire-v3 sweep crash. A v3 intention node carries
+// every external edge lazily, and a lazy edge holds no reference: once the
+// states that held an ephemeral by strong reference retire, a committed
+// intention's lazy edge (refetched after cache eviction, so never
+// memoized) can be the only thing naming it. A sweep that judged liveness
+// by reference count dropped such nodes, and the next meld through the
+// edge failed Poll with SnapshotTooOld.
+TEST(ResolverTest, LazyEdgeTargetsSurviveSweepsUnderWireV3) {
+  StripedLog log(TestLog());
+  ServerOptions options = Opts();
+  options.wire_format = WireFormat::kV3;
+  options.pipeline.premeld_threads = 2;
+  options.pipeline.premeld_distance = 10;
+  options.pipeline.group_meld = true;
+  options.pipeline.state_retention = 128;
+  options.resolver.intention_cache_capacity = 32;
+  options.sweep_interval = 4;
+  HyderServer server(&log, options);
+  WorkloadOptions wopts;
+  wopts.db_size = 5000;
+  wopts.ops_per_txn = 4;
+  wopts.seed = 11;
+  WorkloadGenerator gen(wopts);
+  ASSERT_TRUE(gen.SeedDatabase(server).ok());
+  // Closed loop with 200 in flight (deep conflict zones, so melds build
+  // ephemeral paths), one meld per step. A read that hits a retired
+  // ephemeral on the latest snapshot is a stale read: counted, and the
+  // transaction is dropped, so the loop goes on to show where Poll fails.
+  uint64_t committed = 0;
+  uint64_t stale_reads = 0;
+  for (int meld = 0; meld < 3000; ++meld) {
+    while (server.inflight() < 200) {
+      Transaction t = server.Begin();
+      Status filled = gen.FillWriteTransaction(t);
+      if (filled.IsSnapshotTooOld()) {
+        stale_reads++;
+        continue;
+      }
+      ASSERT_TRUE(filled.ok()) << filled.ToString();
+      ASSERT_TRUE(server.Submit(std::move(t)).ok());
+    }
+    auto decisions = server.Poll(1);
+    ASSERT_TRUE(decisions.ok()) << "Poll after " << meld << " melds: "
+                                << decisions.status().ToString();
+    for (const MeldDecision& d : *decisions) committed += d.committed;
+  }
+  EXPECT_EQ(stale_reads, 0u);
+  EXPECT_GT(committed, 1000u);
+  EXPECT_GT(server.resolver().ephemerals_swept(), 0u);
+  // Every key is still readable from the latest state.
+  Transaction check = server.Begin();
+  for (Key k = 0; k < wopts.db_size; k += 7) {
+    auto v = check.Get(k);
+    ASSERT_TRUE(v.ok()) << "key " << k << ": " << v.status().ToString();
+    EXPECT_TRUE(v->has_value());
+  }
+}
+
+NodePtr EphemeralNode(uint32_t thread, uint64_t seq) {
+  NodePtr n = MakeNode(Key(seq), "e");
+  n->set_vn(VersionId::Ephemeral(thread, seq));
+  return n;
+}
+
+// State 1 holds ephemeral P with a materialized child N; state 2 replaces
+// P by a logged node L whose edge to N is lazy (as a v3 decode leaves it).
+// Once state 1 retires, nothing holds N by reference but the table, yet
+// the retained state 2 still reaches it.
+TEST(EphemeralTableTest, LazyEdgeTargetSurvivesReplacedNodeIsDropped) {
+  StripedLog log(TestLog());
+  ServerResolver resolver(&log, ResolverOptions{});
+  StateTable states(/*capacity=*/2, DatabaseState{0, Ref::Null()});
+  resolver.TrackRetention(&states);
+  const VersionId p_vn = VersionId::Ephemeral(0, 1);
+  const VersionId n_vn = VersionId::Ephemeral(0, 2);
+  {
+    NodePtr n = EphemeralNode(0, 2);
+    NodePtr p = EphemeralNode(0, 1);
+    p->left().Reset(Ref::To(n));
+    resolver.RegisterEphemeral(n);
+    resolver.RegisterEphemeral(p);
+    PublishDelta born;
+    born.first_seq = 1;
+    born.born = {p_vn, n_vn};
+    resolver.NotePublished(born);
+    states.Publish(DatabaseState{1, Ref::To(p)});
+  }
+  NodePtr l = MakeNode(Key(1), "logged");
+  l->set_vn(VersionId::Logged(2, 0));
+  l->left().Reset(Ref::Lazy(n_vn));
+  PublishDelta replace;
+  replace.first_seq = 2;
+  replace.replaced = {p_vn};
+  resolver.NotePublished(replace);
+  states.Publish(DatabaseState{2, Ref::To(l)});
+
+  // State 1 is still retained: nothing goes.
+  EXPECT_EQ(resolver.SweepEphemerals(), 0u);
+  // State 3 retires state 1 (capacity 2): P goes, N stays although only
+  // the table holds it now.
+  states.Publish(DatabaseState{3, Ref::To(l)});
+  EXPECT_EQ(states.OldestRetained(), 2u);
+  EXPECT_EQ(resolver.SweepEphemerals(), 1u);
+  EXPECT_TRUE(resolver.Resolve(p_vn).status().IsSnapshotTooOld());
+  auto n = resolver.Resolve(n_vn);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ((*n)->RefCount(), 2u);  // The table's and ours.
+  auto via_edge = l->left().Get(&resolver);
+  ASSERT_TRUE(via_edge.ok());
+  EXPECT_EQ(via_edge->get(), n->get());
+  EXPECT_EQ(resolver.ephemeral_count(), 1u);
+  EXPECT_EQ(resolver.ephemerals_swept(), 1u);
+}
+
+// Unpublished ephemerals (premeld/group leftovers, aborted final melds) go
+// as soon as the table holds the last reference, window or not.
+TEST(EphemeralTableTest, UnpublishedNodesGoByReferenceCount) {
+  StripedLog log(TestLog());
+  ServerResolver resolver(&log, ResolverOptions{});
+  NodePtr kept = EphemeralNode(2, 10);
+  resolver.RegisterEphemeral(kept);
+  resolver.RegisterEphemeral(EphemeralNode(2, 11));
+  EXPECT_EQ(resolver.SweepEphemerals(), 1u);
+  EXPECT_TRUE(resolver.Resolve(kept->vn()).ok());
+  EXPECT_TRUE(resolver.Resolve(VersionId::Ephemeral(2, 11))
+                  .status()
+                  .IsSnapshotTooOld());
+}
+
+// Checkpoint bootstrap registers whatever ids the checkpointed state holds:
+// sparse sequences, far-apart chunks, any thread id.
+TEST(EphemeralTableTest, SparseBootstrapIdsResolve) {
+  StripedLog log(TestLog());
+  ServerResolver resolver(&log, ResolverOptions{});
+  StateTable states(/*capacity=*/4, DatabaseState{7, Ref::Null()});
+  resolver.TrackRetention(&states);
+  const std::vector<std::pair<uint32_t, uint64_t>> ids = {
+      {0, 5},       {0, 1u << 30}, {0, 3},         {3, 7},
+      {200, 12345}, {0, 2048},     {32767, 1ull << 40}};
+  std::vector<Node*> raw;
+  for (const auto& [thread, seq] : ids) {
+    NodePtr n = EphemeralNode(thread, seq);
+    raw.push_back(n.get());
+    resolver.RegisterPublishedEphemeral(n);
+  }
+  // Published and never replaced: the only reference is the table's, and
+  // a sweep keeps every one.
+  EXPECT_EQ(resolver.SweepEphemerals(), 0u);
+  EXPECT_EQ(resolver.ephemeral_count(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto r = resolver.Resolve(VersionId::Ephemeral(ids[i].first,
+                                                   ids[i].second));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->get(), raw[i]);
+  }
+  EXPECT_TRUE(resolver.Resolve(VersionId::Ephemeral(0, 4))
+                  .status()
+                  .IsSnapshotTooOld());
+  EXPECT_TRUE(resolver.Resolve(VersionId::Ephemeral(9, 5))
+                  .status()
+                  .IsSnapshotTooOld());
+  // Replaced in state 8, which is not yet the oldest retained: it stays
+  // until state 7 retires.
+  PublishDelta replace;
+  replace.first_seq = 8;
+  replace.replaced = {VersionId::Ephemeral(0, 1u << 30)};
+  resolver.NotePublished(replace);
+  states.Publish(DatabaseState{8, Ref::Null()});
+  EXPECT_EQ(resolver.SweepEphemerals(), 0u);
+  ASSERT_TRUE(states.RetireBelow(8) == 1u);
+  EXPECT_EQ(resolver.SweepEphemerals(), 1u);
+  EXPECT_EQ(resolver.ephemeral_count(), ids.size() - 1);
+}
+
 TEST(DriverTest, MaintainsConflictZone) {
   StripedLog log(TestLog());
   HyderServer server(&log, Opts());

@@ -21,6 +21,7 @@ Exit code 0 if every file parses (an absent section just prints as absent);
 """
 
 import json
+import re
 import sys
 
 
@@ -34,6 +35,33 @@ def fmt_us(v):
 
 def section(title):
     print(f"\n== {title} ==")
+
+
+# A pipeline's per-cause abort counter, bare ("pipeline.abort.<cause>", as a
+# lone pipeline provider publishes it) or under a provider prefix
+# ("server0.pipeline.abort.<cause>").
+PIPELINE_ABORT = re.compile(r"(?:^|\.)pipeline\.abort\.([a-z_]+)$")
+
+
+def abort_causes(metrics):
+    """Aborts by cause. The pipelines' own counters win (they cover every
+    decision a server melded, not just locally submitted ones), summed over
+    every pipeline in the snapshot; without them, the open-loop driver's
+    gauges stand in. Admission rejections ("busy") never reach a pipeline
+    and are reported on their own line."""
+    causes = {}
+    for k, v in metrics.items():
+        m = PIPELINE_ABORT.search(k)
+        if m and v > 0:
+            causes[m.group(1)] = causes.get(m.group(1), 0) + v
+    if causes:
+        return causes
+    for k, v in metrics.items():
+        if k.startswith("open_loop.abort.") and v > 0:
+            cause = k[len("open_loop.abort."):]
+            if cause != "busy":
+                causes[cause] = causes.get(cause, 0) + v
+    return causes
 
 
 def report(path):
@@ -78,29 +106,19 @@ def report(path):
             if field in ol:
                 print(f"  {field:>14}: {int(ol[field])}")
 
-    # Per-cause aborts: prefer the pipeline's own counters (they cover every
-    # decision the server melded, not just locally submitted ones).
-    causes = {}
-    for k, v in sorted(metrics.items()):
-        if ".pipeline.abort." in k and v > 0:
-            causes.setdefault(k.split(".pipeline.abort.")[1], 0)
-            causes[k.split(".pipeline.abort.")[1]] += v
-        elif k.startswith("open_loop.abort.") and v > 0:
-            causes.setdefault(k[len("open_loop.abort."):], 0)
+    causes = abort_causes(metrics)
+    # Busy rejections never reach the pipeline; fold them in from the
+    # open-loop driver when present.
+    busy = metrics.get("open_loop.abort.busy", 0)
     section("Abort causes (typed provenance)")
-    if not causes:
+    if not causes and busy <= 0:
         print("  (no aborts recorded)")
-    else:
-        total = sum(causes.values())
-        for cause, n in sorted(causes.items(), key=lambda kv: -kv[1]):
-            pct = 100.0 * n / total if total else 0
-            print(f"  {cause:>20}: {int(n):>8}  ({pct:5.1f}%)")
-        # Busy rejections never reach the pipeline; fold them in from the
-        # open-loop driver when present.
-        busy = metrics.get("open_loop.abort.busy", 0)
-        if busy > 0:
-            print(f"  {'busy (admission)':>20}: {int(busy):>8}  "
-                  f"(shed before the log)")
+    total = sum(causes.values())
+    for cause, n in sorted(causes.items(), key=lambda kv: (-kv[1], kv[0])):
+        print(f"  {cause:>20}: {int(n):>8}  ({100.0 * n / total:5.1f}%)")
+    if busy > 0:
+        print(f"  {'busy (admission)':>20}: {int(busy):>8}  "
+              f"(shed before the log)")
 
     stage_hists = sorted(k for k in hists
                          if k.startswith("pipeline.abort_decision_us."))
